@@ -12,8 +12,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The lock-free page-cache read regression (ReadAt and ReadView racing
+# Append on one inode, views surviving CorruptAt and crashes) repeats:
+# a race report depends on the interleaving a run happens to get.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race ./internal/ext4 -run 'LockFreeReadsRaceAppend|ViewSurvives' -count=5
 
 # The concurrent write-path tests (group commit, lock-free reads,
 # async compaction, crash atomicity) re-run twice under the race
@@ -109,9 +113,11 @@ fuzz-smoke:
 	$(GO) test ./internal/server/wire -fuzz FuzzFrameDecode -fuzztime 30s
 
 # One iteration of every benchmark — exercises the write-queue, arena
-# memtable and real-concurrency paths without measuring anything.
+# memtable, real-concurrency and block-load (page-cache view) paths
+# without measuring anything.
 bench-smoke:
 	$(GO) test ./internal/memtable ./internal/engine ./internal/harness \
+		./internal/sstable ./internal/ext4 \
 		-run NONE -bench . -benchtime 1x
 
 # Full performance-trajectory snapshot (see scripts/bench.sh).

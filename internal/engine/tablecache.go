@@ -74,17 +74,20 @@ func (tc *tableCache) open(tl *vclock.Timeline, meta *version.FileMeta) (*sstabl
 // evict forgets a deleted table and its cached blocks, closing the
 // open handle so the filesystem can reclaim the file's page cache.
 // Only tables absent from every live and pinned version are evicted,
-// so no reader can hold the handle concurrently.
+// so no reader can hold the handle concurrently. Cached blocks alias
+// the file's page cache (vfs.ViewReader), so both block tiers are
+// dropped before the handle closes: once it does, an unlinked file's
+// memory may be recycled for another file.
 func (tc *tableCache) evict(tl *vclock.Timeline, number uint64) {
+	tc.blocks.EvictID(number)
+	if tc.cblocks != nil {
+		tc.cblocks.EvictID(number)
+	}
 	key := cache.Key{ID: number}
 	if v, ok := tc.tables.Get(key); ok {
 		v.(*sstable.Reader).Close(tl)
 	}
 	tc.tables.Evict(key)
-	tc.blocks.EvictID(number)
-	if tc.cblocks != nil {
-		tc.cblocks.EvictID(number)
-	}
 }
 
 // reset drops every handle (after a crash severs them).

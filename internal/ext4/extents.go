@@ -22,8 +22,11 @@ var chunkPool = sync.Pool{New: func() any { return new([extentBytes]byte) }}
 func getChunk() []byte { return chunkPool.Get().(*[extentBytes]byte)[:0] }
 
 // putChunk recycles c. Callers must guarantee no reader can still
-// observe c (extents.ReadAt copies out, so chunks have no external
-// aliases; inode data is recycled only once unreachable by handles).
+// observe c. Chunks do have external aliases — vfs.ViewReader views
+// handed out by (*file).ReadView, which the block cache keeps — so
+// inode data is recycled only once no handle can reach it and, for
+// the engine, only after the table's cached blocks are dropped; see
+// extents.aliased for what a crash leaves behind.
 func putChunk(c []byte) {
 	if cap(c) != extentBytes {
 		return
@@ -36,6 +39,10 @@ func putChunk(c []byte) {
 type extents struct {
 	chunks [][]byte
 	size   int64
+	// aliased marks contents that views taken through crash-severed
+	// handles may still reference (set when such a handle closes):
+	// Release hands them to the garbage collector, not chunkPool.
+	aliased bool
 }
 
 // Len returns the file size in bytes.
@@ -80,10 +87,13 @@ func readAtChunks(chunks [][]byte, tail []byte, p []byte, off int64) {
 	n := 0
 	last := len(chunks) - 1
 	for n < len(p) {
+		// Index the shared table only below the last chunk: a
+		// concurrent Append rewrites chunks[last], so even a load that
+		// is then discarded would be a data race.
 		i := int(off / extentBytes)
-		c := chunks[i]
-		if i == last {
-			c = tail
+		c := tail
+		if i != last {
+			c = chunks[i]
 		}
 		m := copy(p[n:], c[off%extentBytes:])
 		n += m
@@ -92,6 +102,12 @@ func readAtChunks(chunks [][]byte, tail []byte, p []byte, off int64) {
 }
 
 // Truncate discards contents beyond size (no-op when size >= Len).
+// It runs only when a crash rolls a file back, so views of the cut
+// bytes may still be live: cut chunks go to the garbage collector,
+// never to chunkPool, and the chunk table is rebuilt rather than
+// edited in place because lock-free readers may hold a snapshot of
+// it. A rolled-back file is never appended to again (Create replaces
+// the inode), so the kept tail chunk's cut bytes stay untouched too.
 func (e *extents) Truncate(size int64) {
 	if size < 0 {
 		size = 0
@@ -100,22 +116,22 @@ func (e *extents) Truncate(size int64) {
 		return
 	}
 	keep := int((size + extentBytes - 1) / extentBytes)
-	for i := keep; i < len(e.chunks); i++ {
-		putChunk(e.chunks[i])
-		e.chunks[i] = nil
-	}
-	e.chunks = e.chunks[:keep]
+	chunks := append([][]byte(nil), e.chunks[:keep]...)
 	if keep > 0 {
-		e.chunks[keep-1] = e.chunks[keep-1][:size-int64(keep-1)*extentBytes]
+		chunks[keep-1] = chunks[keep-1][:size-int64(keep-1)*extentBytes]
 	}
+	e.chunks = chunks
 	e.size = size
 }
 
-// Release recycles every chunk. Only valid once no reader can reach
-// the file again (its unlink has committed and no handle is open).
+// Release drops every chunk, recycling them unless aliased. Only
+// valid once no reader can reach the file again (its unlink has
+// committed and no handle is open).
 func (e *extents) Release() {
 	for i := range e.chunks {
-		putChunk(e.chunks[i])
+		if !e.aliased {
+			putChunk(e.chunks[i])
+		}
 		e.chunks[i] = nil
 	}
 	e.chunks = e.chunks[:0]

@@ -129,13 +129,14 @@ func (f *file) ReadAt(tl *vclock.Timeline, p []byte, off int64) (int, error) {
 }
 
 // ReadView implements vfs.ViewReader: a zero-copy read of resident,
-// single-chunk ranges. The returned slice aliases the page cache; the
-// same append-only invariant that lets ReadAt copy outside fs.mu (see
-// above) makes the alias safe until the last handle closes — chunk
-// recycling requires handles==0. Non-resident data, or a range that
-// crosses an extent chunk, reports ok=false and the caller falls back
-// to ReadAt. Virtual cost on success equals a resident ReadAt of n
-// bytes.
+// single-chunk ranges. The returned slice aliases the page cache and
+// its bytes never change: appends only write beyond the viewed range,
+// CorruptAt copies the chunk it flips, a crash leaves rolled-back
+// chunks to the garbage collector, and chunks are recycled only once
+// the file is unlinked and its last handle closed. Non-resident data,
+// or a range that crosses an extent chunk, reports ok=false and the
+// caller falls back to ReadAt. Virtual cost on success equals a
+// resident ReadAt of n bytes.
 func (f *file) ReadView(tl *vclock.Timeline, n int, off int64) ([]byte, bool, error) {
 	if n <= 0 {
 		return nil, false, nil
@@ -206,6 +207,11 @@ func (f *file) Close(tl *vclock.Timeline) error {
 	}
 	f.closed = true
 	f.in.handles--
+	if f.gen != f.fs.gen {
+		// A crash severed this handle before its owner could drop the
+		// views taken through it (block caches still hold them).
+		f.in.data.aliased = true
+	}
 	if f.in.handles == 0 && f.fs.inodes[f.in.ino] != f.in {
 		// Last handle on an inode whose removal has committed (or that
 		// a crash dropped): its page cache is unreachable — recycle.

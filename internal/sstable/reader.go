@@ -83,20 +83,20 @@ func Open(tl *vclock.Timeline, f vfs.File, opts Options, cacheID uint64, blocks 
 		r.dataEnd = indexH.Offset
 	}
 
-	indexData, err := r.readBlockRaw(tl, indexH, false)
+	index, err := r.loadBlock(tl, indexH, false)
 	if err != nil {
 		return nil, err
 	}
-	r.index, err = block.NewReader(indexData, keys.CompareInternal)
+	r.index, err = block.NewReader(index.contents, keys.CompareInternal)
 	if err != nil {
 		return nil, err
 	}
 
-	metaData, err := r.readBlockRaw(tl, metaH, false)
+	metaBlock, err := r.loadBlock(tl, metaH, false)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := block.NewReader(metaData, keys.CompareUser)
+	meta, err := block.NewReader(metaBlock.contents, keys.CompareUser)
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +110,11 @@ func Open(tl *vclock.Timeline, f vfs.File, opts Options, cacheID uint64, blocks 
 			if fh.Offset < r.dataEnd {
 				r.dataEnd = fh.Offset
 			}
-			r.filter, err = r.readBlockRaw(tl, fh, false)
+			filter, err := r.loadBlock(tl, fh, false)
 			if err != nil {
 				return nil, err
 			}
+			r.filter = filter.contents
 		}
 	}
 	return r, nil
@@ -150,66 +151,106 @@ func putBlockBuf(b []byte) {
 // buffer survives the call.
 func ReleaseBlockBuf(b []byte) { putBlockBuf(b) }
 
-// readBlockPayload reads and CRC-verifies the block at h, bypassing
-// the caches, and returns the stored (possibly still compressed)
-// payload with its codec tag. pooled draws the buffer from
-// blockBufPool; the caller then owns it and is responsible for
-// recycling.
-func (r *Reader) readBlockPayload(tl *vclock.Timeline, h Handle, pooled bool) ([]byte, byte, error) {
-	var buf []byte
-	if pooled {
-		buf = getBlockBuf(int(h.Size) + blockTrailerLen)
-	} else {
-		buf = make([]byte, h.Size+blockTrailerLen)
+// loadedBlock is one CRC-verified, decoded block.
+type loadedBlock struct {
+	contents []byte
+	// owned is the pool-drawn buffer backing contents, set only for
+	// pooled loads; the caller recycles it once the block is dead.
+	owned []byte
+	// stored is a compressed block's verified payload for the
+	// compressed cache tier; zero for raw blocks and pooled loads.
+	stored compressedBlock
+}
+
+// loadBlock is the one block-read path: every index, filter and data
+// block a Reader parses comes through it (readahead windows, already
+// read, go straight to decodeStored). It reads the block at h —
+// payload plus trailer — as a page-cache view whenever the file offers
+// one, so a resident raw block is parsed in place with no copy; only
+// when no view exists (a file without vfs.ViewReader, pages not
+// resident after a crash, a block straddling an extent chunk) does
+// ReadAt copy it into a pool-drawn buffer (pool) or a fresh one. Views
+// cost exactly what a resident ReadAt costs, so virtual time does not
+// depend on which path a block takes.
+func (r *Reader) loadBlock(tl *vclock.Timeline, h Handle, pool bool) (loadedBlock, error) {
+	n := int(h.Size) + blockTrailerLen
+	if vr, ok := r.f.(vfs.ViewReader); ok {
+		// A failed view falls through to ReadAt, whose errors carry the
+		// established meaning (a short read is corruption).
+		if b, ok, err := vr.ReadView(tl, n, int64(h.Offset)); err == nil && ok {
+			return r.decodeStored(tl, h, b, false, pool)
+		}
 	}
-	if _, err := r.f.ReadAt(tl, buf, int64(h.Offset)); err != nil {
+	var b []byte
+	if pool {
+		b = getBlockBuf(n)
+	} else {
+		b = make([]byte, n)
+	}
+	if _, err := r.f.ReadAt(tl, b, int64(h.Offset)); err != nil {
+		if pool {
+			putBlockBuf(b)
+		}
 		if errors.Is(err, io.EOF) {
 			// A short read against a handle from the CRC-verified index
 			// is real damage: the file lost its tail.
-			return nil, 0, fmt.Errorf("%w: truncated block at %d: %v", ErrCorrupt, h.Offset, err)
+			return loadedBlock{}, fmt.Errorf("%w: truncated block at %d: %v", ErrCorrupt, h.Offset, err)
 		}
 		// Any other failure (e.g. an injected transient fault) is an I/O
 		// error, not corruption — the caller's retry path handles it.
-		return nil, 0, err
+		return loadedBlock{}, err
 	}
-	if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
-		return nil, 0, err
-	}
-	return buf[:h.Size], buf[h.Size], nil
+	return r.decodeStored(tl, h, b, pool, pool)
 }
 
-// readBlockRaw reads, CRC-verifies and decodes the block at h,
-// bypassing the caches. pooled draws the returned buffer from
-// blockBufPool; the caller then owns it and is responsible for
-// recycling.
-func (r *Reader) readBlockRaw(tl *vclock.Timeline, h Handle, pooled bool) ([]byte, error) {
-	payload, codec, err := r.readBlockPayload(tl, h, pooled)
-	if err != nil {
-		return nil, err
+// decodeStored CRC-verifies the stored block bytes b (payload plus
+// trailer) and decodes them. b is stable memory — a page-cache view, a
+// readahead window or a heap-fresh copy — unless bPooled, in which
+// case it was drawn from blockBufPool for this load and is either
+// handed on as the block's owned buffer or recycled. Raw contents
+// alias b; compressed blocks decode into a pool-drawn buffer when pool
+// is set and a fresh one otherwise. The trailer sits outside the cap
+// of every returned slice, so nothing parsed from a view can write
+// into the page cache.
+func (r *Reader) decodeStored(tl *vclock.Timeline, h Handle, b []byte, bPooled, pool bool) (loadedBlock, error) {
+	payload, codec := b[:h.Size:h.Size], b[h.Size]
+	release := func() {
+		if bPooled {
+			putBlockBuf(b)
+		}
+	}
+	if err := verifyBlockTrailer(payload, b[h.Size:], h.Offset); err != nil {
+		release()
+		return loadedBlock{}, err
 	}
 	if codec == 0 {
-		return payload, nil
+		if bPooled {
+			return loadedBlock{contents: payload, owned: b}, nil
+		}
+		return loadedBlock{contents: payload}, nil
 	}
 	var dst []byte
-	if pooled {
+	if pool {
 		n, err := compress.DecodedLen(payload)
 		if err != nil {
-			putBlockBuf(payload)
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			release()
+			return loadedBlock{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		dst = getBlockBuf(n)
 	}
 	dec, err := r.decodePayload(tl, payload, codec, dst)
-	if pooled {
-		putBlockBuf(payload)
+	if pool {
+		release()
+		if err != nil {
+			putBlockBuf(dst)
+			return loadedBlock{}, err
+		}
+		return loadedBlock{contents: dec, owned: dec}, nil
 	}
 	if err != nil {
-		if pooled && dst != nil {
-			putBlockBuf(dst)
-		}
-		return nil, err
+		return loadedBlock{}, err
 	}
-	return dec, nil
+	return loadedBlock{contents: dec, stored: compressedBlock{codec: codec, data: payload}}, nil
 }
 
 // verifyBlockTrailer checks the CRC-32C trailer over contents plus the
@@ -224,55 +265,31 @@ func verifyBlockTrailer(contents, trailer []byte, off uint64) error {
 	return nil
 }
 
-// compactionBlock loads and CRC-verifies the data block at h for a
-// compaction scan, preferring a zero-copy page-cache view when the
-// file supports it (vfs.ViewReader and the block does not straddle an
-// extent chunk). owned is the pool-drawn buffer backing the block on
-// the copy path — the caller recycles it via ReleaseBlockBuf once the
-// block is dead — and nil on the view path, whose backing memory stays
-// valid while the table's file handle is open.
+// parse wraps a loaded data block in a block.Reader, recycling its
+// owned buffer if the block does not parse.
+func (l loadedBlock) parse() (*block.Reader, error) {
+	br, err := block.NewReader(l.contents, keys.CompareInternal)
+	if err != nil && l.owned != nil {
+		putBlockBuf(l.owned)
+	}
+	return br, err
+}
+
+// compactionBlock loads the data block at h for a compaction scan,
+// bypassing both cache tiers. owned is the pool-drawn buffer backing
+// the block — nil when the block is a page-cache view, which stays
+// valid while the table's file handle is open; the caller recycles it
+// via ReleaseBlockBuf once the block is dead.
 func (r *Reader) compactionBlock(tl *vclock.Timeline, h Handle) (*block.Reader, []byte, error) {
-	if vr, ok := r.f.(vfs.ViewReader); ok {
-		buf, ok, err := vr.ReadView(tl, int(h.Size)+blockTrailerLen, int64(h.Offset))
-		if err != nil {
-			return nil, nil, err
-		}
-		if ok {
-			if err := verifyBlockTrailer(buf[:h.Size], buf[h.Size:], h.Offset); err != nil {
-				return nil, nil, err
-			}
-			if codec := buf[h.Size]; codec != 0 {
-				// Compressed blocks cannot be served zero-copy; decode
-				// into a pooled buffer the caller recycles.
-				n, err := compress.DecodedLen(buf[:h.Size])
-				if err != nil {
-					return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-				}
-				dec, err := r.decodePayload(tl, buf[:h.Size], codec, getBlockBuf(n))
-				if err != nil {
-					return nil, nil, err
-				}
-				br, err := block.NewReader(dec, keys.CompareInternal)
-				if err != nil {
-					putBlockBuf(dec)
-					return nil, nil, err
-				}
-				return br, dec, nil
-			}
-			br, err := block.NewReader(buf[:h.Size:h.Size], keys.CompareInternal)
-			return br, nil, err
-		}
-	}
-	data, err := r.readBlockRaw(tl, h, true)
+	l, err := r.loadBlock(tl, h, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	br, err := block.NewReader(data, keys.CompareInternal)
+	br, err := l.parse()
 	if err != nil {
-		ReleaseBlockBuf(data)
 		return nil, nil, err
 	}
-	return br, data, nil
+	return br, l.owned, nil
 }
 
 // BlockSource streams the data blocks of one table in key order for a
@@ -348,8 +365,10 @@ func (s *BlockSource) Err() error { return s.err }
 // once and would otherwise flush the cache's working set (LevelDB's
 // ReadOptions::fill_cache). In that mode the second return value is
 // the privately owned, pool-drawn buffer backing the block (nil on a
-// cache hit); the caller recycles it via putBlockBuf once the block is
-// no longer referenced.
+// cache hit or a page-cache view); the caller recycles it via
+// putBlockBuf once the block is no longer referenced. Filled entries
+// of raw blocks alias the page cache, which is why the engine drops a
+// table's entries before closing its handle.
 func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle, fillCache bool) (*block.Reader, []byte, error) {
 	key := cache.Key{ID: r.cacheID, Off: h.Offset}
 	// Hot tier: the parsed block, decode already paid.
@@ -377,50 +396,21 @@ func (r *Reader) dataBlock(tl *vclock.Timeline, h Handle, fillCache bool) (*bloc
 			return br, nil, nil
 		}
 	}
-	payload, codec, err := r.readBlockPayload(tl, h, !fillCache)
+	l, err := r.loadBlock(tl, h, !fillCache)
 	if err != nil {
 		return nil, nil, err
 	}
-	data := payload
-	if codec != 0 {
-		var dst []byte
-		if !fillCache {
-			n, err := compress.DecodedLen(payload)
-			if err != nil {
-				putBlockBuf(payload)
-				return nil, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-			}
-			dst = getBlockBuf(n)
-		}
-		data, err = r.decodePayload(tl, payload, codec, dst)
-		if err != nil {
-			if !fillCache {
-				putBlockBuf(payload)
-				if dst != nil {
-					putBlockBuf(dst)
-				}
-			}
-			return nil, nil, err
-		}
-		if fillCache && r.cblocks != nil {
-			r.cblocks.Put(key, compressedBlock{codec: codec, data: payload}, int64(len(payload)))
-		}
-		if !fillCache {
-			putBlockBuf(payload)
-		}
+	if fillCache && r.cblocks != nil && l.stored.data != nil {
+		r.cblocks.Put(key, l.stored, int64(len(l.stored.data)))
 	}
-	br, err := block.NewReader(data, keys.CompareInternal)
+	br, err := l.parse()
 	if err != nil {
 		return nil, nil, err
 	}
-	if r.blocks != nil && fillCache {
-		r.blocks.Put(key, br, int64(len(data)))
-		return br, nil, nil
+	if fillCache && r.blocks != nil {
+		r.blocks.Put(key, br, int64(len(l.contents)))
 	}
-	if !fillCache {
-		return br, data, nil
-	}
-	return br, nil, nil
+	return br, l.owned, nil
 }
 
 // MayContain consults the table bloom filter for ukey. A nil filter
@@ -470,7 +460,6 @@ type Iter struct {
 	raWin    int    // current window size, in blocks
 	raBuf    []byte // prefetched raw file bytes, nil when none
 	raOff    uint64 // file offset of raBuf[0]
-	raView   bool   // raBuf aliases a page-cache view (not pooled)
 }
 
 // raNone marks "no sequential predecessor" (offset 0 is a real block).
@@ -494,11 +483,7 @@ func (r *Reader) NewCompactionIterator(tl *vclock.Timeline) *Iter {
 // must not pay for, or be served stale bytes from, a window fetched
 // for the old position.
 func (it *Iter) raReset() {
-	if it.raBuf != nil && !it.raView {
-		putBlockBuf(it.raBuf)
-	}
 	it.raBuf = nil
-	it.raView = false
 	it.raNext = raNone
 	it.raStreak = 0
 	it.raWin = 1
@@ -561,19 +546,14 @@ func (it *Iter) windowContains(h Handle) bool {
 		h.Offset+h.Size+blockTrailerLen <= it.raOff+uint64(len(it.raBuf))
 }
 
-func (it *Iter) raDropWindow() {
-	if it.raBuf != nil && !it.raView {
-		putBlockBuf(it.raBuf)
-	}
-	it.raBuf = nil
-	it.raView = false
-}
+func (it *Iter) raDropWindow() { it.raBuf = nil }
 
 // fillWindow fetches raw file bytes [h.Offset, h.Offset+window) in a
 // single request: a zero-copy page-cache view when the file is
-// resident, else one pooled ReadAt — the device charges one request
-// latency for the whole window instead of one per block, which is the
-// entire point of readahead on a cold scan.
+// resident, else one ReadAt into a fresh buffer — the device charges
+// one request latency for the whole window instead of one per block,
+// which is the entire point of readahead on a cold scan. Either way
+// the window is stable memory that served blocks alias.
 func (it *Iter) fillWindow(h Handle) error {
 	it.raDropWindow()
 	start := h.Offset
@@ -594,49 +574,37 @@ func (it *Iter) fillWindow(h Handle) error {
 			return err
 		}
 		if ok2 {
-			it.raBuf, it.raOff, it.raView = buf, start, true
+			it.raBuf, it.raOff = buf, start
 			return nil
 		}
 	}
-	buf := getBlockBuf(n)
+	buf := make([]byte, n)
 	if _, err := it.r.f.ReadAt(it.tl, buf, int64(start)); err != nil {
-		putBlockBuf(buf)
 		return err
 	}
-	it.raBuf, it.raOff, it.raView = buf, start, false
+	it.raBuf, it.raOff = buf, start
 	return nil
 }
 
-// serveFromWindow carves the block at h out of the prefetched window:
-// CRC-verified and decoded exactly like a device read, then copied
-// into cache-owned memory and inserted in the shared tiers (the
-// window buffer itself is transient).
+// serveFromWindow carves the block at h out of the prefetched window
+// and loads it exactly like a device read — CRC-verified, decoded and
+// inserted in the shared tiers, aliasing the window's memory.
 func (it *Iter) serveFromWindow(h Handle) (*block.Reader, error) {
 	b := it.raBuf[h.Offset-it.raOff:][:h.Size+blockTrailerLen]
-	if err := verifyBlockTrailer(b[:h.Size], b[h.Size:], h.Offset); err != nil {
+	l, err := it.r.decodeStored(it.tl, h, b, false, false)
+	if err != nil {
 		return nil, err
 	}
-	payload, codec := b[:h.Size], b[h.Size]
 	key := cache.Key{ID: it.r.cacheID, Off: h.Offset}
-	var data []byte
-	if codec == 0 {
-		data = append([]byte(nil), payload...)
-	} else {
-		var err error
-		data, err = it.r.decodePayload(it.tl, payload, codec, nil)
-		if err != nil {
-			return nil, err
-		}
-		if it.r.cblocks != nil {
-			it.r.cblocks.Put(key, compressedBlock{codec: codec, data: append([]byte(nil), payload...)}, int64(len(payload)))
-		}
+	if it.r.cblocks != nil && l.stored.data != nil {
+		it.r.cblocks.Put(key, l.stored, int64(len(l.stored.data)))
 	}
-	br, err := block.NewReader(data, keys.CompareInternal)
+	br, err := l.parse()
 	if err != nil {
 		return nil, err
 	}
 	if it.r.blocks != nil {
-		it.r.blocks.Put(key, br, int64(len(data)))
+		it.r.blocks.Put(key, br, int64(len(l.contents)))
 	}
 	return br, nil
 }

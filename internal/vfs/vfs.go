@@ -111,9 +111,13 @@ func LinkOrCopy(tl *vclock.Timeline, fs FS, oldName, newName string) (linked boo
 // means the caller must fall back to ReadAt; it is not an error. The
 // same virtual-time cost as a resident ReadAt is charged on success.
 //
-// The view aliases the file's cached contents: it stays valid until
-// this handle is closed (implementations guarantee the viewed range is
-// immutable while any handle is open) and must never be written to.
+// The view aliases the file's cached contents and must never be
+// written to. Its bytes stay unchanged while the handle is open and
+// after a crash severs it — later appends, at-rest corruption and
+// crash rollback never touch viewed memory — so a view may back a
+// cache entry. Closing the handle ends that guarantee once the file
+// is unlinked (its memory may be recycled), so a holder drops every
+// view taken through the handle before closing it.
 type ViewReader interface {
 	ReadView(tl *vclock.Timeline, n int, off int64) (p []byte, ok bool, err error)
 }
